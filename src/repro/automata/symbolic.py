@@ -16,7 +16,6 @@ complete.  Tracks that a transition does not test are don't-cares.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Hashable, List, Mapping,
@@ -30,12 +29,17 @@ from repro.robust.budget import tick as _budget_tick
 
 Assignment = Mapping[int, bool]
 
-_unique_counter = itertools.count()
+
+def subset_union(left: FrozenSet[int],
+                 right: FrozenSet[int]) -> FrozenSet[int]:
+    """Leaf operator of subset construction: union two state sets."""
+    return left | right
 
 
-def _fresh_key(tag: str) -> Tuple[str, int]:
-    """A memoisation key that is unique per call site invocation."""
-    return (tag, next(_unique_counter))
+def pair_subset(left: int, right: int) -> FrozenSet[int]:
+    """Leaf operator of projection: the set of the two cofactors'
+    target states."""
+    return frozenset((left, right))
 
 
 def delta_from_function(mgr: Mtbdd, tracks: Sequence[int],
@@ -122,13 +126,13 @@ class SymbolicDfa:
         faults.fire("automata.product")
         with obs_trace.span("automata.product", detail=True) as sp:
             mgr = self.mgr
-            pair_key = _fresh_key("pair")
             index: Dict[Tuple[int, int], int] = {}
             delta: List[int] = []
             accepting: Set[int] = set()
             order: List[Tuple[int, int]] = []
 
-            def state_of(pair: Hashable) -> int:
+            def state_of(left: Hashable, right: Hashable) -> int:
+                pair = (left, right)
                 found = index.get(pair)  # type: ignore[arg-type]
                 if found is None:
                     found = len(index)
@@ -136,18 +140,15 @@ class SymbolicDfa:
                     order.append(pair)  # type: ignore[arg-type]
                 return found
 
-            start = state_of((self.initial, other.initial))
+            start = state_of(self.initial, other.initial)
+            memo: Dict[Tuple[int, int], int] = {}
             cursor = 0
-            rename_key = _fresh_key("pair-rename")
             while cursor < len(order):
                 _budget_tick("automata.product")
                 _budget_check_states("automata.product", len(order))
                 left, right = order[cursor]
-                pair_delta = mgr.apply2(pair_key, lambda a, b: (a, b),
-                                        self.delta[left],
-                                        other.delta[right])
-                delta.append(mgr.map_leaves(rename_key, state_of,
-                                            pair_delta))
+                delta.append(mgr.apply2(state_of, self.delta[left],
+                                        other.delta[right], memo))
                 if accept(left in self.accepting,
                           right in other.accepting):
                     accepting.add(cursor)
@@ -188,18 +189,15 @@ class SymbolicDfa:
         with obs_trace.span("automata.project", detail=True,
                             track=track, states=self.num_states):
             mgr = self.mgr
-            lift_key = _fresh_key("lift")
-            union_key = _fresh_key("setunion")
+            fixed_lo: Dict[int, int] = {}
+            fixed_hi: Dict[int, int] = {}
+            memo: Dict[Tuple[int, int], int] = {}
             delta: List[int] = []
-            for q in range(self.num_states):
-                lo = mgr.restrict(self.delta[q], {track: False})
-                hi = mgr.restrict(self.delta[q], {track: True})
-                lo_set = mgr.map_leaves(lift_key,
-                                        lambda s: frozenset([s]), lo)
-                hi_set = mgr.map_leaves(lift_key,
-                                        lambda s: frozenset([s]), hi)
-                delta.append(mgr.apply2(union_key, lambda a, b: a | b,
-                                        lo_set, hi_set))
+            for root in self.delta:
+                delta.append(mgr.apply2(
+                    pair_subset,
+                    mgr.restrict(root, {track: False}, fixed_lo),
+                    mgr.restrict(root, {track: True}, fixed_hi), memo))
             return SymbolicNfa(mgr=mgr, num_states=self.num_states,
                                initial=frozenset([self.initial]),
                                accepting=self.accepting, delta=delta)
@@ -212,19 +210,19 @@ class SymbolicDfa:
         """Restrict to states reachable from the initial state."""
         reachable: Set[int] = {self.initial}
         stack = [self.initial]
+        seen: Set[int] = set()
         while stack:
             q = stack.pop()
-            for target in self.mgr.leaves(self.delta[q]):
+            for target in self.mgr.leaves(self.delta[q], seen):
                 if target not in reachable:
                     reachable.add(target)  # type: ignore[arg-type]
                     stack.append(target)  # type: ignore[arg-type]
         if len(reachable) == self.num_states:
             return self
-        remap = {old: new for new, old in enumerate(sorted(reachable))}
-        rename_key = _fresh_key("trim")
-        delta = [self.mgr.map_leaves(rename_key, lambda s: remap[s],
-                                     self.delta[old])
-                 for old in sorted(reachable)]
+        kept = sorted(reachable)
+        remap = {old: new for new, old in enumerate(kept)}
+        delta = self.mgr.map_many(remap.__getitem__,
+                                  [self.delta[old] for old in kept])
         return SymbolicDfa(
             mgr=self.mgr, num_states=len(reachable),
             initial=remap[self.initial],
@@ -257,11 +255,8 @@ class SymbolicDfa:
         num_blocks = len(set(block))
         while True:
             _budget_tick("automata.minimize")
-            sig_key = _fresh_key("moore")
-            signatures = [
-                (block[q], mgr.map_leaves(sig_key, lambda s: block[s],
-                                          dfa.delta[q]))
-                for q in range(dfa.num_states)]
+            signatures = zip(block, mgr.map_many(block.__getitem__,
+                                                 dfa.delta))
             renumber: Dict[Tuple[int, int], int] = {}
             new_block = []
             for sig in signatures:
@@ -278,10 +273,9 @@ class SymbolicDfa:
         representative: Dict[int, int] = {}
         for q in range(dfa.num_states):
             representative.setdefault(block[q], q)
-        rename_key = _fresh_key("moore-rename")
-        delta = [mgr.map_leaves(rename_key, lambda s: block[s],
-                                dfa.delta[representative[b]])
-                 for b in range(num_blocks)]
+        delta = mgr.map_many(block.__getitem__,
+                             [dfa.delta[representative[b]]
+                              for b in range(num_blocks)])
         accepting = frozenset(block[q] for q in dfa.accepting)
         return SymbolicDfa(mgr=mgr, num_states=num_blocks,
                            initial=block[dfa.initial],
@@ -347,20 +341,7 @@ class SymbolicDfa:
 
         This is the paper's "Nodes" column for a single automaton.
         """
-        seen: Set[int] = set()
-        count = 0
-        stack = list(self.delta)
-        mgr = self.mgr
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen.add(f)
-            if not mgr.is_leaf(f):
-                count += 1
-                stack.append(mgr.low(f))
-                stack.append(mgr.high(f))
-        return count
+        return self.mgr.count_nodes(self.delta)
 
     def tracks(self) -> FrozenSet[int]:
         """All tracks any transition tests."""
@@ -398,8 +379,8 @@ class SymbolicNfa:
 
     def _determinize(self) -> SymbolicDfa:
         mgr = self.mgr
-        union_key = _fresh_key("det-union")
-        rename_key = _fresh_key("det-rename")
+        union_memo: Dict[Tuple[int, int], int] = {}
+        rename_memo: Dict[int, int] = {}
         empty = mgr.leaf(frozenset())
         index: Dict[FrozenSet[int], int] = {}
         order: List[FrozenSet[int]] = []
@@ -422,9 +403,9 @@ class SymbolicNfa:
             subset = order[cursor]
             combined = empty
             for q in subset:
-                combined = mgr.apply2(union_key, lambda a, b: a | b,
-                                      combined, self.delta[q])
-            delta.append(mgr.map_leaves(rename_key, state_of, combined))
+                combined = mgr.apply2(subset_union, combined, self.delta[q],
+                                      union_memo)
+            delta.append(mgr.map_leaves(state_of, combined, rename_memo))
             if subset & self.accepting:
                 accepting.add(cursor)
             cursor += 1

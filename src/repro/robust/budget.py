@@ -9,9 +9,11 @@ that every verification terminates with a verdict.
 The pattern mirrors :mod:`repro.obs.trace`: a process-wide *active*
 budget defaulting to :data:`NULL_BUDGET`, whose checks are no-ops, so
 the cancellation points in the hot loops (:mod:`repro.bdd.robdd`,
-:mod:`repro.bdd.mtbdd`, :mod:`repro.automata.symbolic`,
-:mod:`repro.mso.compile`, :mod:`repro.symbolic.exec`) cost one
-function call when no budget is set.
+:mod:`repro.automata.symbolic`, :mod:`repro.mso.compile`,
+:mod:`repro.symbolic.exec`) cost one function call when no budget is
+set.  The MTBDD kernel (:mod:`repro.bdd.mtbdd`) reads
+``current_budget().active`` once per operation and skips its per-miss
+``tick`` entirely when no budget is active.
 
 Three kinds of check, from hottest to coldest:
 

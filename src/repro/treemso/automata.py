@@ -22,7 +22,7 @@ from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
                     Set, Tuple)
 
 from repro.bdd.mtbdd import Mtbdd
-from repro.automata.symbolic import _fresh_key
+from repro.automata.symbolic import pair_subset, subset_union
 from repro.treemso.trees import Tree
 
 
@@ -72,12 +72,11 @@ class TreeDfa:
         if other.mgr is not self.mgr:
             raise ValueError("product requires a shared MTBDD manager")
         mgr = self.mgr
-        pair_key = _fresh_key("tpair")
-        rename_key = _fresh_key("tpair-rename")
         index: Dict[Tuple[int, int], int] = {}
         order: List[Tuple[int, int]] = []
 
-        def state_of(pair: Hashable) -> int:
+        def state_of(left: Hashable, right: Hashable) -> int:
+            pair = (left, right)
             found = index.get(pair)  # type: ignore[arg-type]
             if found is None:
                 found = len(index)
@@ -85,7 +84,8 @@ class TreeDfa:
                 order.append(pair)  # type: ignore[arg-type]
             return found
 
-        state_of((self.empty, other.empty))
+        state_of(self.empty, other.empty)
+        memo: Dict[Tuple[int, int], int] = {}
         delta: Dict[Tuple[int, int], int] = {}
         done = 0
         while done < len(order):
@@ -95,11 +95,9 @@ class TreeDfa:
                 for ri, (r1, r2) in enumerate(snapshot):
                     if (li, ri) in delta:
                         continue
-                    combined = mgr.apply2(pair_key, lambda a, b: (a, b),
-                                          self.delta[(l1, r1)],
-                                          other.delta[(l2, r2)])
-                    delta[(li, ri)] = mgr.map_leaves(rename_key,
-                                                     state_of, combined)
+                    delta[(li, ri)] = mgr.apply2(
+                        state_of, self.delta[(l1, r1)],
+                        other.delta[(l2, r2)], memo)
         accepting = frozenset(
             i for i, (q1, q2) in enumerate(order)
             if accept(q1 in self.accepting, q2 in other.accepting))
@@ -120,15 +118,14 @@ class TreeDfa:
     def project(self, track: int) -> "TreeNfa":
         """Erase a track (existential quantification)."""
         mgr = self.mgr
-        lift = _fresh_key("tlift")
-        union = _fresh_key("tunion")
+        fixed_lo: Dict[int, int] = {}
+        fixed_hi: Dict[int, int] = {}
+        memo: Dict[Tuple[int, int], int] = {}
         delta = {}
         for key, root in self.delta.items():
-            lo = mgr.map_leaves(lift, lambda s: frozenset([s]),
-                                mgr.restrict(root, {track: False}))
-            hi = mgr.map_leaves(lift, lambda s: frozenset([s]),
-                                mgr.restrict(root, {track: True}))
-            delta[key] = mgr.apply2(union, lambda a, b: a | b, lo, hi)
+            delta[key] = mgr.apply2(
+                pair_subset, mgr.restrict(root, {track: False}, fixed_lo),
+                mgr.restrict(root, {track: True}, fixed_hi), memo)
         return TreeNfa(mgr, self.num_states, self.empty,
                        self.accepting, delta)
 
@@ -139,24 +136,25 @@ class TreeDfa:
     def trim(self) -> "TreeDfa":
         """Restrict to states reachable from below."""
         reachable: Set[int] = {self.empty}
+        seen: Set[int] = set()
         changed = True
         while changed:
             changed = False
             for (ql, qr), root in self.delta.items():
                 if ql in reachable and qr in reachable:
-                    for target in self.mgr.leaves(root):
+                    for target in self.mgr.leaves(root, seen):
                         if target not in reachable:
                             reachable.add(target)  # type: ignore[arg-type]
                             changed = True
         if len(reachable) == self.num_states:
             return self
         remap = {old: new for new, old in enumerate(sorted(reachable))}
-        rename = _fresh_key("ttrim")
-        delta = {
-            (remap[ql], remap[qr]): self.mgr.map_leaves(
-                rename, lambda s: remap[s], root)
-            for (ql, qr), root in self.delta.items()
-            if ql in reachable and qr in reachable}
+        kept = [(key, root) for key, root in self.delta.items()
+                if key[0] in reachable and key[1] in reachable]
+        images = self.mgr.map_many(remap.__getitem__,
+                                   [root for _, root in kept])
+        delta = {(remap[ql], remap[qr]): image
+                 for ((ql, qr), _), image in zip(kept, images)}
         return TreeDfa(self.mgr, len(reachable), remap[self.empty],
                        frozenset(remap[q] for q in self.accepting
                                  if q in reachable), delta)
@@ -169,10 +167,8 @@ class TreeDfa:
                  for q in range(dfa.num_states)]
         num_blocks = len(set(block))
         while True:
-            sig_key = _fresh_key("tmoore")
-            images = {
-                key: mgr.map_leaves(sig_key, lambda s: block[s], root)
-                for key, root in dfa.delta.items()}
+            images = dict(zip(dfa.delta, mgr.map_many(
+                block.__getitem__, dfa.delta.values())))
             signatures = []
             for q in range(dfa.num_states):
                 context = tuple(
@@ -193,13 +189,12 @@ class TreeDfa:
         representative: Dict[int, int] = {}
         for q in range(dfa.num_states):
             representative.setdefault(block[q], q)
-        rename = _fresh_key("tmoore-rename")
-        delta = {}
-        for bl in range(num_blocks):
-            for br in range(num_blocks):
-                root = dfa.delta[(representative[bl], representative[br])]
-                delta[(bl, br)] = mgr.map_leaves(
-                    rename, lambda s: block[s], root)
+        keys = [(bl, br) for bl in range(num_blocks)
+                for br in range(num_blocks)]
+        delta = dict(zip(keys, mgr.map_many(
+            block.__getitem__,
+            [dfa.delta[(representative[bl], representative[br])]
+             for bl, br in keys])))
         return TreeDfa(mgr, num_blocks, block[dfa.empty],
                        frozenset(block[q] for q in dfa.accepting), delta)
 
@@ -261,19 +256,7 @@ class TreeDfa:
 
     def bdd_node_count(self) -> int:
         """Distinct shared decision nodes across all transitions."""
-        seen: Set[int] = set()
-        count = 0
-        stack = list(self.delta.values())
-        while stack:
-            f = stack.pop()
-            if f in seen:
-                continue
-            seen.add(f)
-            if not self.mgr.is_leaf(f):
-                count += 1
-                stack.append(self.mgr.low(f))
-                stack.append(self.mgr.high(f))
-        return count
+        return self.mgr.count_nodes(self.delta.values())
 
 
 @dataclass
@@ -289,8 +272,8 @@ class TreeNfa:
     def determinize(self) -> TreeDfa:
         """Subset construction on the shared diagrams."""
         mgr = self.mgr
-        union = _fresh_key("tdet-union")
-        rename = _fresh_key("tdet-rename")
+        union_memo: Dict[Tuple[int, int], int] = {}
+        rename_memo: Dict[int, int] = {}
         bottom = mgr.leaf(frozenset())
         index: Dict[FrozenSet[int], int] = {}
         order: List[FrozenSet[int]] = []
@@ -317,10 +300,10 @@ class TreeNfa:
                     for ql in left:
                         for qr in right:
                             combined = mgr.apply2(
-                                union, lambda a, b: a | b,
-                                combined, self.delta[(ql, qr)])
-                    delta[(li, ri)] = mgr.map_leaves(rename, state_of,
-                                                     combined)
+                                subset_union, combined, self.delta[(ql, qr)],
+                                union_memo)
+                    delta[(li, ri)] = mgr.map_leaves(state_of, combined,
+                                                     rename_memo)
         accepting = frozenset(i for i, subset in enumerate(order)
                               if subset & self.accepting)
         return TreeDfa(mgr, len(order), 0, accepting, delta)

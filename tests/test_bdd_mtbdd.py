@@ -52,20 +52,20 @@ class TestCombinators:
     def test_apply2_pairs(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
         g = mgr.node(1, mgr.leaf(10), mgr.leaf(20))
-        h = mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        h = mgr.apply2(lambda a, b: (a, b), f, g)
         assert mgr.evaluate(h, {0: True, 1: False}) == (2, 10)
         assert mgr.evaluate(h, {0: False, 1: True}) == (1, 20)
 
     def test_apply2_collapses_equal_results(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
         g = mgr.node(0, mgr.leaf(2), mgr.leaf(1))
-        total = mgr.apply2("sum", lambda a, b: a + b, f, g)
+        total = mgr.apply2(lambda a, b: a + b, f, g)
         assert mgr.is_leaf(total)
         assert mgr.leaf_value(total) == 3
 
     def test_map_leaves(self, mgr):
         f = mgr.node(0, mgr.leaf(1), mgr.leaf(2))
-        g = mgr.map_leaves("double", lambda v: v * 2, f)
+        g = mgr.map_leaves(lambda v: v * 2, f)
         assert mgr.evaluate(g, {0: True}) == 4
 
     def test_restrict(self, mgr):
@@ -88,8 +88,8 @@ class TestCombinators:
     def test_node_count(self, mgr):
         inner = mgr.node(1, mgr.leaf(1), mgr.leaf(2))
         f = mgr.node(0, inner, mgr.leaf(3))
-        assert mgr.node_count(f) == 2
-        assert mgr.node_count(mgr.leaf(1)) == 0
+        assert mgr.count_nodes([f]) == 2
+        assert mgr.count_nodes([mgr.leaf(1)]) == 0
 
     def test_paths_cover_every_assignment(self, mgr):
         f = mgr.node(0, mgr.node(1, mgr.leaf("a"), mgr.leaf("b")),
@@ -149,7 +149,7 @@ def test_apply2_pointwise(left, right):
     mgr = Mtbdd()
     f = _from_table(mgr, left)
     g = _from_table(mgr, right)
-    h = mgr.apply2("add", lambda a, b: a + b, f, g)
+    h = mgr.apply2(lambda a, b: a + b, f, g)
     for bits in itertools.product([False, True], repeat=NUM_TRACKS):
         env = dict(enumerate(bits))
         index = _index(bits)

@@ -173,14 +173,21 @@ class TestBddCacheStats:
         mgr = Mtbdd()
         f = mgr.node(0, mgr.leaf(0), mgr.leaf(1))
         g = mgr.node(1, mgr.leaf(0), mgr.leaf(1))
-        mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        memo = {}
+        h = mgr.apply2(lambda a, b: (a, b), f, g, memo)
         misses = mgr.apply_misses
-        assert misses > 0
+        assert misses == len(memo) > 0
         assert mgr.apply_hits == 0
-        # The identical call is answered entirely from the memo table.
-        mgr.apply2("pair", lambda a, b: (a, b), f, g)
+        # The identical call within one operation (same memo) is
+        # answered entirely from the memo table.
+        assert mgr.apply2(lambda a, b: (a, b), f, g, memo) == h
         assert mgr.apply_hits == 1
         assert mgr.apply_misses == misses
+        # A new operation starts from an empty memo: the same work is
+        # done again, and yields the same hash-consed diagram.
+        assert mgr.apply2(lambda a, b: (a, b), f, g) == h
+        assert mgr.apply_hits == 1
+        assert mgr.apply_misses == 2 * misses
 
     def test_mtbdd_cache_stats_keys(self):
         mgr = Mtbdd()

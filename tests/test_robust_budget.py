@@ -5,6 +5,7 @@ and verdict preservation under generous limits."""
 
 import pytest
 
+from repro.bdd import Mtbdd
 from repro.robust.budget import (Budget, BudgetExceeded, NULL_BUDGET,
                                  activate, check_nodes, check_states,
                                  current_budget, tick)
@@ -75,6 +76,94 @@ class TestBudgetUnit:
         assert "bdd_nodes" in str(exc)
         assert "bdd.node" in str(exc)
         assert "2049" in str(exc)
+
+
+class CountingMemo(dict):
+    """A memo table that counts the lookups answered from it."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is not None:
+            self.hits += 1
+        return found
+
+
+def _wide_diagram(mgr, levels, salt):
+    """A diagram over ``levels`` tracks with 2**levels distinct leaves,
+    so every operation on it misses once per node."""
+    def go(depth, index):
+        if depth == levels:
+            return mgr.leaf((salt, index))
+        return mgr.node(depth, go(depth + 1, 2 * index),
+                        go(depth + 1, 2 * index + 1))
+
+    return go(0, 0)
+
+
+class TestKernelCancellation:
+    """Budget checks fire inside one large kernel operation, and the
+    manager's counters match the memo's activity when they do."""
+
+    LEVELS = 11  # 4095 nodes per operand, 2048 of them leaves
+
+    def operands(self):
+        mgr = Mtbdd()
+        return (mgr, _wide_diagram(mgr, self.LEVELS, "f"),
+                _wide_diagram(mgr, self.LEVELS, "g"))
+
+    def test_step_fuel_trips_inside_apply2(self):
+        mgr, f, g = self.operands()
+        memo = CountingMemo()
+        budget = Budget(max_steps=500)
+        with activate(budget), pytest.raises(BudgetExceeded) as info:
+            mgr.apply2(lambda a, b: (a, b), f, g, memo)
+        assert (info.value.limit, info.value.site) == ("steps", "bdd.apply")
+        assert budget.steps == 501
+        assert 0 < mgr.apply_misses == len(memo) < 500
+        assert mgr.apply_hits == memo.hits
+
+    def test_step_fuel_trips_inside_map_many(self):
+        mgr, f, g = self.operands()
+        memo = CountingMemo()
+        with activate(Budget(max_steps=6000)), \
+                pytest.raises(BudgetExceeded) as info:
+            mgr.map_many(lambda value: value[1] % 7, [f, f, g], memo)
+        assert (info.value.limit, info.value.site) == ("steps", "bdd.map")
+        # The fuel runs out in the third root: the first root's 4095
+        # nodes were all rewritten and the second root was a hit.
+        assert 4095 < mgr.map_misses == len(memo) < 6000
+        assert mgr.map_hits == memo.hits == 1
+
+    def test_past_deadline_trips_before_the_operation_ends(self):
+        mgr, f, g = self.operands()
+        full = {}
+        mgr.apply2(lambda a, b: (a, b), f, g, full)
+        mgr, f, g = self.operands()
+        memo = CountingMemo()
+        with activate(Budget(timeout=0.0)), \
+                pytest.raises(BudgetExceeded) as info:
+            mgr.apply2(lambda a, b: (a, b), f, g, memo)
+        # Whichever in-operation check reads the clock first trips it:
+        # a step tick or a node-cap check.
+        assert info.value.limit == "deadline"
+        assert info.value.site in ("bdd.apply", "bdd.node")
+        assert mgr.apply_misses == len(memo) < len(full)
+        assert mgr.apply_hits == memo.hits
+
+    def test_node_cap_trips_at_bdd_node(self):
+        mgr, f, g = self.operands()
+        memo = CountingMemo()
+        cap = len(mgr) + 100
+        with activate(Budget(max_bdd_nodes=cap)), \
+                pytest.raises(BudgetExceeded) as info:
+            mgr.apply2(lambda a, b: (a, b), f, g, memo)
+        assert (info.value.limit, info.value.site) == \
+            ("bdd_nodes", "bdd.node")
+        assert cap < info.value.value <= cap + 1 + 0x3FF
+        assert mgr.apply_misses == len(memo)
+        assert mgr.apply_hits == memo.hits
 
 
 class TestEngineBudgets:

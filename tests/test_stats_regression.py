@@ -21,6 +21,14 @@ BRACKETS = {
     "triple": (TRIPLE, (100, 3_000), (500, 15_000), 1),
 }
 
+#: name -> the paper's Table 1 columns (Formula, States, Nodes) exactly
+#: as this implementation computes them.  Any change to state
+#: numbering, minimisation or formula sharing moves these.
+EXACT = {
+    "reverse": (1438, 157, 424),
+    "search": (1961, 144, 421),
+}
+
 
 @pytest.mark.parametrize("name", sorted(BRACKETS))
 def test_statistics_within_brackets(name):
@@ -37,6 +45,9 @@ def test_statistics_within_brackets(name):
     assert low <= result.max_nodes <= high, (
         f"{name}: {result.max_nodes} BDD nodes left the expected "
         f"bracket {nodes_bracket}")
+    if name in EXACT:
+        assert (result.formula_size, result.max_states,
+                result.max_nodes) == EXACT[name]
 
 
 def test_statistics_are_deterministic():

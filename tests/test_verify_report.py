@@ -172,8 +172,9 @@ class TestCompilationStats:
     def test_capture_manager_copies_counters_idempotently(self):
         mgr = Mtbdd()
         f = mgr.node(0, mgr.leaf(0), mgr.leaf(1))
-        mgr.apply2("min", min, f, f)
-        mgr.apply2("min", min, f, f)
+        memo = {}
+        mgr.apply2(min, f, f, memo)
+        mgr.apply2(min, f, f, memo)
         stats = CompilationStats()
         stats.capture_manager(mgr)
         once = (stats.bdd_apply_hits, stats.bdd_apply_misses,
