@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Hashable, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable,
+                    Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.bdd.mtbdd import Mtbdd
 from repro.obs import trace as obs_trace
@@ -30,16 +31,48 @@ from repro.robust.budget import tick as _budget_tick
 Assignment = Mapping[int, bool]
 
 
-def subset_union(left: FrozenSet[int],
-                 right: FrozenSet[int]) -> FrozenSet[int]:
-    """Leaf operator of subset construction: union two state sets."""
+def subset_union(left: int, right: int) -> int:
+    """Leaf operator of subset construction: union two state-set
+    bitmasks."""
     return left | right
 
 
-def pair_subset(left: int, right: int) -> FrozenSet[int]:
-    """Leaf operator of projection: the set of the two cofactors'
+def pair_subset(left: int, right: int) -> int:
+    """Leaf operator of projection: the bitmask of the two cofactors'
     target states."""
-    return frozenset((left, right))
+    return (1 << left) | (1 << right)
+
+
+def state_mask(states: Iterable[int]) -> int:
+    """The bitmask of a set of states: bit ``q`` set iff ``q`` is in it."""
+    mask = 0
+    for q in states:
+        mask |= 1 << q
+    return mask
+
+
+def union_fold(mgr: Mtbdd, diagrams: Iterable[int],
+               memo: Dict[Tuple[int, int], int]) -> int:
+    """The leaf-wise union of bitmask-leaved ``diagrams``, folded left
+    from the first one; the empty union is ``leaf(0)``.
+
+    Subset construction folds each subset's members in ascending state
+    order, so subsets sharing their smallest members share the partial
+    unions in ``memo``.
+    """
+    combined = None
+    for diagram in diagrams:
+        combined = diagram if combined is None else \
+            mgr.apply2(subset_union, combined, diagram, memo)
+    return mgr.leaf(0) if combined is None else combined
+
+
+def mask_members(mask: int) -> Iterator[int]:
+    """The states of a bitmask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def delta_from_function(mgr: Mtbdd, tracks: Sequence[int],
@@ -235,8 +268,9 @@ class SymbolicDfa:
 
         Two states are merged when they are acceptance-equivalent and
         their transition MTBDDs, with leaves rewritten to current block
-        numbers, are the *same diagram* — an O(1) comparison thanks to
-        hash-consing.
+        numbers, are the *same diagram*.  Each round numbers those
+        rewritten diagrams canonically (:meth:`Mtbdd.signatures`)
+        instead of building them, so comparing two is one int compare.
         """
         faults.fire("automata.minimize")
         with obs_trace.span("automata.minimize", detail=True) as sp:
@@ -255,14 +289,10 @@ class SymbolicDfa:
         num_blocks = len(set(block))
         while True:
             _budget_tick("automata.minimize")
-            signatures = zip(block, mgr.map_many(block.__getitem__,
-                                                 dfa.delta))
             renumber: Dict[Tuple[int, int], int] = {}
-            new_block = []
-            for sig in signatures:
-                if sig not in renumber:
-                    renumber[sig] = len(renumber)
-                new_block.append(renumber[sig])
+            new_block = [renumber.setdefault(sig, len(renumber))
+                         for sig in zip(block, mgr.signatures(block,
+                                                              dfa.delta))]
             stable = len(renumber) == num_blocks
             block = new_block
             num_blocks = len(renumber)
@@ -355,9 +385,11 @@ class SymbolicDfa:
 class SymbolicNfa:
     """A nondeterministic symbolic automaton.
 
-    ``delta[q]`` is an MTBDD whose leaves are frozensets of target
-    states.  Produced by :meth:`SymbolicDfa.project`; consumed by
-    :meth:`determinize`.
+    ``delta[q]`` is an MTBDD whose leaves are sets of target states,
+    each an int bitmask with bit ``p`` set iff ``p`` is a target
+    (:func:`state_mask`); the empty set is the leaf ``0``.  ``initial``
+    and ``accepting`` are frozensets.  Produced by
+    :meth:`SymbolicDfa.project`; consumed by :meth:`determinize`.
     """
 
     mgr: Mtbdd
@@ -379,11 +411,12 @@ class SymbolicNfa:
 
     def _determinize(self) -> SymbolicDfa:
         mgr = self.mgr
+        nfa_delta = self.delta
         union_memo: Dict[Tuple[int, int], int] = {}
         rename_memo: Dict[int, int] = {}
-        empty = mgr.leaf(frozenset())
-        index: Dict[FrozenSet[int], int] = {}
-        order: List[FrozenSet[int]] = []
+        accepting_mask = state_mask(self.accepting)
+        index: Dict[int, int] = {}
+        order: List[int] = []
 
         def state_of(subset: Hashable) -> int:
             found = index.get(subset)  # type: ignore[arg-type]
@@ -393,7 +426,7 @@ class SymbolicNfa:
                 order.append(subset)  # type: ignore[arg-type]
             return found
 
-        state_of(self.initial)
+        state_of(state_mask(self.initial))
         delta: List[int] = []
         accepting: Set[int] = set()
         cursor = 0
@@ -401,12 +434,11 @@ class SymbolicNfa:
             _budget_tick("automata.determinize")
             _budget_check_states("automata.determinize", len(order))
             subset = order[cursor]
-            combined = empty
-            for q in subset:
-                combined = mgr.apply2(subset_union, combined, self.delta[q],
-                                      union_memo)
+            combined = union_fold(
+                mgr, [nfa_delta[q] for q in mask_members(subset)],
+                union_memo)
             delta.append(mgr.map_leaves(state_of, combined, rename_memo))
-            if subset & self.accepting:
+            if subset & accepting_mask:
                 accepting.add(cursor)
             cursor += 1
         return SymbolicDfa(mgr=mgr, num_states=len(order), initial=0,

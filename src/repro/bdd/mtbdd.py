@@ -3,10 +3,10 @@
 An MTBDD maps bit-vector assignments to arbitrary hashable *leaf*
 values.  The symbolic automata of :mod:`repro.automata.symbolic` keep
 one MTBDD per state whose leaves are target states; during subset
-construction the leaves are frozensets of states.  This mirrors the
-Mona representation the paper credits for making the decision procedure
-feasible (§6: "transition functions are encoded as binary decision
-diagrams").
+construction the leaves are sets of states encoded as int bitmasks.
+This mirrors the Mona representation the paper credits for making the
+decision procedure feasible (§6: "transition functions are encoded as
+binary decision diagrams").
 
 Nodes are hash-consed, so diagram equality is index equality, and the
 number of distinct reachable nodes is the paper's "Nodes" statistic.
@@ -38,7 +38,7 @@ Example:
 from __future__ import annotations
 
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Mapping, Optional, Set, Tuple)
+                    Mapping, Optional, Sequence, Set, Tuple, Union)
 
 from repro.robust.budget import check_nodes as _budget_check_nodes
 from repro.robust.budget import current_budget
@@ -310,6 +310,56 @@ class Mtbdd:
             return [go(f) for f in roots]
         finally:
             self.map_misses += len(memo) - before
+            self.map_hits += hits
+
+    def signatures(self, labels: Union[Sequence[int], Mapping[Hashable, int]],
+                   roots: Iterable[int]) -> List[int]:
+        """One int per root: equal exactly when ``map_many`` with
+        ``labels.__getitem__`` would give the roots the same diagram.
+
+        The image diagrams are numbered instead of built: a leaf with
+        value ``v`` gets ``~labels[v]`` (negative for labels >= 0) and
+        a decision node the index of its reduced ``(level, lo, hi)``
+        triple in a table local to this call, so no node is created in
+        the manager.  Memo activity counts as ``map_hits`` and
+        ``map_misses``, exactly as the ``map_many`` call would.
+        """
+        levels, los, his = self._level, self._lo, self._hi
+        memo: Dict[int, int] = {}
+        table: Dict[Tuple[int, int, int], int] = {}
+        budget = current_budget()
+        tick = budget.tick if budget.active else None
+        hits = 0
+
+        def go(f: int) -> int:
+            nonlocal hits
+            result = memo.get(f)
+            if result is not None:
+                hits += 1
+                return result
+            if tick is not None:
+                tick("bdd.map")
+            level = levels[f]
+            if level == LEAF_LEVEL:
+                result = ~labels[los[f]]  # type: ignore[index]
+            else:
+                lo = go(los[f])  # type: ignore[arg-type]
+                hi = go(his[f])
+                if lo == hi:
+                    result = lo
+                else:
+                    triple = (level, lo, hi)
+                    result = table.get(triple)
+                    if result is None:
+                        result = len(table)
+                        table[triple] = result
+            memo[f] = result
+            return result
+
+        try:
+            return [go(f) for f in roots]
+        finally:
+            self.map_misses += len(memo)
             self.map_hits += hits
 
     def map_leaves(self, op: Callable[[Hashable], Hashable], f: int,

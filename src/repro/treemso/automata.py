@@ -22,7 +22,8 @@ from typing import (Callable, Dict, FrozenSet, Hashable, List, Optional,
                     Set, Tuple)
 
 from repro.bdd.mtbdd import Mtbdd
-from repro.automata.symbolic import pair_subset, subset_union
+from repro.automata.symbolic import (mask_members, pair_subset,
+                                     state_mask, union_fold)
 from repro.treemso.trees import Tree
 
 
@@ -167,8 +168,8 @@ class TreeDfa:
                  for q in range(dfa.num_states)]
         num_blocks = len(set(block))
         while True:
-            images = dict(zip(dfa.delta, mgr.map_many(
-                block.__getitem__, dfa.delta.values())))
+            images = dict(zip(dfa.delta, mgr.signatures(
+                block, dfa.delta.values())))
             signatures = []
             for q in range(dfa.num_states):
                 context = tuple(
@@ -261,7 +262,11 @@ class TreeDfa:
 
 @dataclass
 class TreeNfa:
-    """A nondeterministic bottom-up automaton (frozenset leaves)."""
+    """A nondeterministic bottom-up automaton.
+
+    Leaves are sets of states as int bitmasks, as in
+    :class:`repro.automata.symbolic.SymbolicNfa`.
+    """
 
     mgr: Mtbdd
     num_states: int
@@ -270,13 +275,17 @@ class TreeNfa:
     delta: Dict[Tuple[int, int], int]
 
     def determinize(self) -> TreeDfa:
-        """Subset construction on the shared diagrams."""
+        """Subset construction on the shared diagrams.
+
+        The diagrams of a pair of subsets are folded in ascending
+        ``(left, right)`` member order, as in
+        :meth:`repro.automata.symbolic.SymbolicNfa.determinize`.
+        """
         mgr = self.mgr
         union_memo: Dict[Tuple[int, int], int] = {}
         rename_memo: Dict[int, int] = {}
-        bottom = mgr.leaf(frozenset())
-        index: Dict[FrozenSet[int], int] = {}
-        order: List[FrozenSet[int]] = []
+        index: Dict[int, int] = {}
+        order: List[int] = []
 
         def state_of(subset: Hashable) -> int:
             found = index.get(subset)  # type: ignore[arg-type]
@@ -286,7 +295,7 @@ class TreeNfa:
                 order.append(subset)  # type: ignore[arg-type]
             return found
 
-        state_of(frozenset([self.empty]))
+        state_of(1 << self.empty)
         delta: Dict[Tuple[int, int], int] = {}
         done = 0
         while done < len(order):
@@ -296,16 +305,15 @@ class TreeNfa:
                 for ri, right in enumerate(snapshot):
                     if (li, ri) in delta:
                         continue
-                    combined = bottom
-                    for ql in left:
-                        for qr in right:
-                            combined = mgr.apply2(
-                                subset_union, combined, self.delta[(ql, qr)],
-                                union_memo)
+                    combined = union_fold(
+                        mgr, [self.delta[(ql, qr)]
+                              for ql in mask_members(left)
+                              for qr in mask_members(right)], union_memo)
                     delta[(li, ri)] = mgr.map_leaves(state_of, combined,
                                                      rename_memo)
+        accepting_mask = state_mask(self.accepting)
         accepting = frozenset(i for i, subset in enumerate(order)
-                              if subset & self.accepting)
+                              if subset & accepting_mask)
         return TreeDfa(mgr, len(order), 0, accepting, delta)
 
 

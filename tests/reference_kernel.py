@@ -6,12 +6,15 @@ store and operation-scoped memos: one list of ``(level, lo, hi)``
 tuples, one ``node()`` call per node, and manager-global memo tables
 keyed by an op key.  Products built a pair-leaf diagram and renamed
 it; projections lifted both cofactors to singleton sets and unioned
-them.  ``test_kernel_reference.py`` checks that the production kernel
-computes the same functions with the same node counts, and that the
-automaton operations number states exactly as these did.
+them; subset construction kept frozenset leaves and unioned each
+subset's members into the empty leaf in set iteration order.
+``test_kernel_reference.py`` checks that the production kernel computes
+the same functions with the same node counts, and that the automaton
+operations number states exactly as these did.
 
 Budgets, tracing and fault injection are left out; nothing else is
-changed.
+changed.  The helpers at the end build and read diagrams on either
+kernel, for tests that compare the two.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from __future__ import annotations
 import itertools
 from typing import (Callable, Dict, FrozenSet, Hashable, List, Set,
                     Tuple)
+
+from repro.automata.symbolic import SymbolicNfa, state_mask
+from repro.bdd import Mtbdd
 
 LEAF_LEVEL = 1 << 60
 
@@ -330,3 +336,44 @@ class RefNfa:
                 accepting.add(cursor)
             cursor += 1
         return RefDfa(mgr, len(order), 0, frozenset(accepting), delta)
+
+
+def build(mgr, spec):
+    """Shannon-expand a ``(levels, value table)`` spec bottom-up with
+    ``node``, on either kernel.  The table lists the values of all
+    assignments of ``levels`` in binary order, first level slowest."""
+    levels, table = spec
+
+    def go(depth, offset, width):
+        if depth == len(levels):
+            return mgr.leaf(table[offset])
+        half = width // 2
+        return mgr.node(levels[depth], go(depth + 1, offset, half),
+                        go(depth + 1, offset + half, half))
+
+    return go(0, 0, 2 ** len(levels))
+
+
+def explicit(dfa, symbols):
+    """(states, initial, accepting, target of every state and symbol) of
+    a DFA on either kernel."""
+    table = [[dfa.mgr.evaluate(root, symbol) for symbol in symbols]
+             for root in dfa.delta]
+    return dfa.num_states, dfa.initial, dfa.accepting, table
+
+
+def determinize_both(tables, initial, accepting, symbols):
+    """Determinise one NFA with bitmask leaves on the production kernel
+    and with frozenset leaves on the reference; return both explicit
+    tables.  ``tables[q]`` lists the target sets of state ``q`` over
+    ``symbols``, every assignment of tracks ``0..k-1`` in binary
+    order."""
+    levels = sorted(symbols[0])
+    mgr, ref = Mtbdd(), RefMtbdd()
+    new = SymbolicNfa(mgr, len(tables), initial, accepting, [
+        build(mgr, (levels, [state_mask(s) for s in table]))
+        for table in tables])
+    old = RefNfa(ref, len(tables), initial, accepting,
+                 [build(ref, (levels, table)) for table in tables])
+    return (explicit(new.determinize(), symbols),
+            explicit(old.determinize(), symbols))

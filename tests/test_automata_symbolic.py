@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_kernel import determinize_both
 from repro.automata.explicit import Dfa
 from repro.automata.symbolic import (SymbolicDfa, SymbolicNfa,
                                      delta_from_function)
@@ -20,6 +21,15 @@ NUM_TRACKS = 2
 SYMBOLS = [dict(zip(range(NUM_TRACKS), bits))
            for bits in itertools.product([False, True],
                                          repeat=NUM_TRACKS)]
+
+
+def _assert_determinize_like_reference(tables, initial, accepting):
+    """Determinise the NFA given by per-state target-set tables over
+    SYMBOLS, with bitmask leaves here and frozenset leaves in the
+    reference kernel; the explicit DFA tables must agree."""
+    new, old = determinize_both(tables, initial, accepting, SYMBOLS)
+    assert new == old
+    return new
 
 
 def _random_symbolic(rng, num_states, mgr=None):
@@ -181,6 +191,32 @@ class TestStructure:
     def test_determinize_empty_initial(self):
         mgr = Mtbdd()
         nfa = SymbolicNfa(mgr, 1, frozenset(), frozenset([0]),
-                          [mgr.leaf(frozenset())])
+                          [mgr.leaf(0)])
         dfa = nfa.determinize()
         assert dfa.is_empty()
+
+    def test_determinize_reaches_empty_set_partway(self):
+        # 0 -t0-> {1}, else {0}; 1 -> {} on every symbol.  The subset
+        # {1} is the second state found, and its diagram leads to the
+        # empty set, the third.
+        tables = [
+            [frozenset([1]) if bits[0] else frozenset([0])
+             for bits in itertools.product([False, True], repeat=2)],
+            [frozenset()] * 4,
+        ]
+        table = _assert_determinize_like_reference(
+            tables, frozenset([0]), frozenset([1]))
+        assert table == (3, 0, frozenset([1]),
+                         [[0, 0, 1, 1], [2, 2, 2, 2], [2, 2, 2, 2]])
+
+    def test_determinize_masks_wider_than_a_machine_word(self):
+        # 140 states, so subsets span three 64-bit words; every target
+        # set is a union of a few fixed sets, which keeps the DFA small.
+        rng = random.Random(5)
+        family = [frozenset([0, 63, 64]), frozenset([65, 127, 128]),
+                  frozenset([1, 139]), frozenset(), frozenset([100])]
+        tables = [[rng.choice(family) for _ in range(4)]
+                  for _ in range(140)]
+        table = _assert_determinize_like_reference(
+            tables, frozenset([0, 139]), frozenset([64, 139]))
+        assert 4 < table[0] <= 2 ** len(family)

@@ -7,14 +7,17 @@ same node counts, and the automaton operations built on it must number
 states exactly as the reference did: same state count, initial state,
 accepting set and explicit transition table.  State numbering is what
 the paper's States column, the Nodes column and counterexample words
-depend on.
+depend on.  Subset construction is checked with frozenset leaves in the
+reference and bitmask leaves in the production code, and Moore
+signatures against the diagrams ``map_many`` builds.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from reference_kernel import RefDfa, RefMtbdd
+from reference_kernel import RefDfa, RefMtbdd, build, determinize_both
+from reference_kernel import explicit as reference_explicit
 from repro.automata.symbolic import SymbolicDfa
 from repro.bdd import Mtbdd
 
@@ -49,20 +52,6 @@ def diagrams(draw):
     return levels, table
 
 
-def build(mgr, spec):
-    """Shannon-expand a (levels, table) spec bottom-up with ``node``."""
-    levels, table = spec
-
-    def go(depth, offset, width):
-        if depth == len(levels):
-            return mgr.leaf(table[offset])
-        half = width // 2
-        return mgr.node(levels[depth], go(depth + 1, offset, half),
-                        go(depth + 1, offset + half, half))
-
-    return go(0, 0, 2 ** len(levels))
-
-
 def function(mgr, f):
     return [mgr.evaluate(f, assignment) for assignment in ALL_ASSIGNMENTS]
 
@@ -95,6 +84,25 @@ def test_map_many_matches_reference(specs, name):
     memo = {}
     assert [mgr.map_leaves(op, build(mgr, spec), memo)
             for spec in specs] == images
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(diagrams(), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=2), min_size=4,
+                max_size=4))
+def test_signatures_partition_like_map_many(specs, labels):
+    mgr = Mtbdd()
+    roots = [build(mgr, spec) for spec in specs]
+    size = len(mgr)
+    signatures = mgr.signatures(labels, roots)
+    assert len(mgr) == size
+    counters = mgr.map_hits, mgr.map_misses
+    images = mgr.map_many(labels.__getitem__, roots)
+    for i, j in itertools.product(range(len(roots)), repeat=2):
+        assert (signatures[i] == signatures[j]) == (images[i] == images[j])
+    # Both walks make the same memo lookups and entries.
+    assert (mgr.map_hits, mgr.map_misses) == \
+        (2 * counters[0], 2 * counters[1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -143,10 +151,7 @@ def both(spec, mgr, ref):
 
 
 def explicit(dfa):
-    """(states, initial, accepting, target of every state/symbol)."""
-    table = [[dfa.mgr.evaluate(root, symbol) for symbol in DFA_SYMBOLS]
-             for root in dfa.delta]
-    return dfa.num_states, dfa.initial, dfa.accepting, table
+    return reference_explicit(dfa, DFA_SYMBOLS)
 
 
 ACCEPTS = [lambda a, b: a and b, lambda a, b: a or b,
@@ -179,3 +184,24 @@ def test_minimize_numbers_states_like_reference(spec):
     mgr, ref = Mtbdd(), RefMtbdd()
     new, old = both(spec, mgr, ref)
     assert explicit(new.minimize()) == explicit(old.minimize())
+
+
+@st.composite
+def nfas(draw):
+    """A random NFA over three tracks: (initial, accepting, tables), one
+    table of target sets over the 8 symbols per state.  Any of the sets
+    may be empty."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    subsets = st.frozensets(st.integers(min_value=0, max_value=size - 1))
+    tables = [draw(st.lists(subsets, min_size=2 ** DFA_TRACKS,
+                            max_size=2 ** DFA_TRACKS))
+              for _ in range(size)]
+    return draw(subsets), draw(subsets), tables
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfas())
+def test_determinize_numbers_states_like_reference(spec):
+    initial, accepting, tables = spec
+    new, old = determinize_both(tables, initial, accepting, DFA_SYMBOLS)
+    assert new == old

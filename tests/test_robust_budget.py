@@ -136,6 +136,25 @@ class TestKernelCancellation:
         assert 4095 < mgr.map_misses == len(memo) < 6000
         assert mgr.map_hits == memo.hits == 1
 
+    def test_step_fuel_trips_inside_signatures(self):
+        labels = {(salt, index): index % 7 for salt in "fg"
+                  for index in range(2 ** self.LEVELS)}
+        # The same walk through map_many, to read its memo activity.
+        mgr, f, g = self.operands()
+        memo = CountingMemo()
+        with activate(Budget(max_steps=6000)), \
+                pytest.raises(BudgetExceeded):
+            mgr.map_many(labels.__getitem__, [f, f, g], memo)
+        mgr, f, g = self.operands()
+        size = len(mgr)
+        with activate(Budget(max_steps=6000)), \
+                pytest.raises(BudgetExceeded) as info:
+            mgr.signatures(labels, [f, f, g])
+        assert (info.value.limit, info.value.site) == ("steps", "bdd.map")
+        assert len(mgr) == size
+        assert 4095 < mgr.map_misses == len(memo) < 6000
+        assert mgr.map_hits == memo.hits == 1
+
     def test_past_deadline_trips_before_the_operation_ends(self):
         mgr, f, g = self.operands()
         full = {}
